@@ -9,35 +9,44 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig};
 use evolve_sim::{ClusterConfig, NodeShape, Simulation, SimulationConfig};
-use evolve_types::{ResourceVec, SimDuration, SimTime};
-use evolve_workload::{LoadSpec, PloSpec, RequestClass, Scenario, ServiceSpec, WorkloadMix};
+use evolve_types::SimTime;
+use evolve_workload::ScenarioSpec;
 use std::hint::black_box;
 
-fn service_mix(rate: f64) -> WorkloadMix {
-    let class = RequestClass::new(
-        "rq",
-        ResourceVec::new(20.0, 2.0, 0.2, 0.2),
-        0.5,
-        SimDuration::from_secs(10),
-    );
-    WorkloadMix::new().with_service(
-        ServiceSpec::new(
-            "svc",
-            PloSpec::LatencyP99 { target_ms: 100.0 },
-            class,
-            ResourceVec::new(2_000.0, 2_048.0, 50.0, 50.0),
-        )
-        .with_initial_replicas(2),
-        LoadSpec::Constant { rate },
-    )
+/// One two-replica service under constant load on `nodes` default nodes.
+fn one_service(rate: f64, nodes: usize, horizon_secs: u64) -> ScenarioSpec {
+    ScenarioSpec::from_toml_str(&format!(
+        r#"
+name = "mini"
+horizon_secs = {horizon_secs}.0
+
+[cluster]
+nodes = {nodes}
+
+[[service]]
+name = "svc"
+class = "rq"
+demand = [20.0, 2.0, 0.2, 0.2]
+demand_cv = 0.5
+timeout_secs = 10.0
+plo_p99_ms = 100.0
+alloc = [2000.0, 2048.0, 50.0, 50.0]
+replicas = 2
+
+[service.load]
+kind = "constant"
+rate = {rate:?}
+"#
+    ))
+    .expect("valid spec")
 }
 
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
+    let mix = one_service(200.0, 2, 10).build().mix;
     group.bench_function("serve_10s_at_200rps", |b| {
         b.iter(|| {
-            let mix = service_mix(200.0);
             let mut sim = Simulation::new(
                 SimulationConfig::default(),
                 ClusterConfig::uniform(2, NodeShape::default()),
@@ -53,17 +62,11 @@ fn bench_engine(c: &mut Criterion) {
             black_box(sim.events_processed())
         })
     });
+    let spec = one_service(100.0, 3, 60);
     group.bench_function("mini_experiment_evolve_60s", |b| {
         b.iter(|| {
-            let scenario = Scenario {
-                name: "mini".into(),
-                description: String::new(),
-                mix: service_mix(100.0),
-                horizon: SimDuration::from_secs(60),
-            };
             let outcome = ExperimentRunner::new(
-                RunConfig::builder(scenario, ManagerKind::Evolve)
-                    .nodes(3)
+                RunConfig::from_spec(&spec, ManagerKind::Evolve)
                     .seed(7)
                     .record_series(false)
                     .build(),

@@ -35,7 +35,7 @@ const CONSECUTIVE_BAD: usize = 2;
 struct System {
     name: &'static str,
     manager: ManagerKind,
-    arbiter: Option<ArbiterConfig>,
+    arbiter: bool,
 }
 
 struct ProbeRow {
@@ -85,10 +85,7 @@ fn main() {
     // at `offered = 1.0`, sized to saturate ~4 default nodes around 1.5×
     // once controllers right-size), and `--scenario <file>` swaps in any
     // spec — specs without a probe table fall back to the default ramp.
-    let base = match args.scenario() {
-        Some(spec) => spec.clone(),
-        None => ScenarioSpec::overload(1.0),
-    };
+    let base = args.scenario_or("overload");
     let probe = base.probe.unwrap_or(ProbeSpec {
         initial: 0.6,
         step: 0.2,
@@ -103,18 +100,14 @@ fn main() {
     };
     let threshold = probe.threshold;
     let reference_rps = probe.reference_rps.unwrap_or_else(|| base.offered_rps());
-    let nodes = base.cluster.nodes;
-    let node_shape = NodeShape { capacity: base.node_capacity() };
-    let arbiter_config = base.arbiter.as_ref().map(arbiter_from_spec).unwrap_or_default();
+    // The arbitrated system runs the spec's `[arbiter]` settings, or the
+    // defaults when the spec has none; the others run without one.
+    let arbiter = base.arbiter.unwrap_or_default();
 
     let systems = [
-        System { name: "kube-static", manager: ManagerKind::KubeStatic, arbiter: None },
-        System { name: "evolve", manager: ManagerKind::Evolve, arbiter: None },
-        System {
-            name: "evolve+arbiter",
-            manager: ManagerKind::Evolve,
-            arbiter: Some(arbiter_config),
-        },
+        System { name: "kube-static", manager: ManagerKind::KubeStatic, arbiter: false },
+        System { name: "evolve", manager: ManagerKind::Evolve, arbiter: false },
+        System { name: "evolve+arbiter", manager: ManagerKind::Evolve, arbiter: true },
     ];
 
     let harness = Harness::new();
@@ -146,18 +139,14 @@ fn main() {
     let mut overshoot = 0usize;
     let mut offered = initial;
     while offered <= max + 1e-9 {
-        let mut scenario = base.scaled_loads(offered).build();
-        scenario.horizon = SimDuration::from_secs(horizon_secs);
+        let mut spec = base.scaled_loads(offered);
+        spec.horizon = SimDuration::from_secs(horizon_secs);
         let offered_rps = reference_rps * offered;
         for (i, sys) in systems.iter().enumerate() {
-            let mut builder = RunConfig::builder(scenario.clone(), sys.manager.clone())
-                .nodes(nodes)
-                .node_shape(node_shape)
-                .record_series(false);
-            if let Some(arb) = sys.arbiter {
-                builder = builder.arbiter(arb);
-            }
-            let rep = harness.run_seeds(&builder.build(), seeds);
+            spec.arbiter = sys.arbiter.then_some(arbiter);
+            let config =
+                RunConfig::from_spec(&spec, sys.manager.clone()).record_series(false).build();
+            let rep = harness.run_seeds(&config, seeds);
             let row = ProbeRow {
                 offered,
                 offered_rps,

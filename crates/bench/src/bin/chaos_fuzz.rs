@@ -29,20 +29,20 @@ use evolve_types::SimDuration;
 /// reproducer, so keep them stable.
 const PROFILES: [&str; 4] = ["single_diurnal", "headline", "interference", "overload"];
 
-/// Resolves a profile name to its scenario, with the fuzz horizon.
-fn scenario_for(profile: &str, horizon: SimDuration) -> Option<Scenario> {
-    let mut scenario = match profile {
-        "single_diurnal" => Scenario::single_diurnal(),
-        "headline" => Scenario::headline(0.2),
-        "interference" => Scenario::interference(),
-        "overload" => Scenario::overload(1.5),
+/// Resolves a profile name to its scenario spec, with the fuzz horizon.
+fn spec_for(profile: &str, horizon: SimDuration) -> Option<ScenarioSpec> {
+    let builtin = |name| ScenarioSpec::builtin(name).expect("builtin scenario");
+    let mut spec = match profile {
+        "single_diurnal" | "interference" => builtin(profile),
+        "headline" => builtin("headline").scaled(0.2),
+        "overload" => builtin("overload").scaled_loads(1.5),
         _ => return None,
     };
-    scenario.horizon = horizon;
-    Some(scenario)
+    spec.horizon = horizon;
+    Some(spec)
 }
 
-/// The overload profile runs with the capacity arbiter installed (that is
+/// The overload profile runs with its spec's capacity arbiter (that is
 /// the code path it exists to fuzz) on the small reference cluster the
 /// scenario is sized against; faults then push an already-saturated
 /// arbiter through node losses and actuation failures.
@@ -62,17 +62,15 @@ fn run_case(
     nodes: u32,
     events: &[FaultEvent],
 ) -> OracleReport {
-    let scenario = scenario_for(profile, horizon).expect("known profile");
-    let mut builder = RunConfig::builder(scenario, ManagerKind::Evolve)
-        .nodes(nodes as usize)
+    let mut spec = spec_for(profile, horizon).expect("known profile");
+    spec.cluster.nodes = nodes as usize;
+    let config = RunConfig::from_spec(&spec, ManagerKind::Evolve)
         .seed(seed)
         .record_series(false)
         .faults(plan_from_events(events))
-        .oracle(true);
-    if profile == "overload" {
-        builder = builder.arbiter(ArbiterConfig::default());
-    }
-    ExperimentRunner::new(builder.build()).run().oracle.expect("oracle was enabled")
+        .oracle(true)
+        .build();
+    ExperimentRunner::new(config).run().oracle.expect("oracle was enabled")
 }
 
 /// Shrinks a failing schedule and writes the JSON reproducer; returns
@@ -124,7 +122,7 @@ fn replay(path: &str) -> i32 {
             return 2;
         }
     };
-    if scenario_for(&repro.profile, repro.horizon).is_none() {
+    if spec_for(&repro.profile, repro.horizon).is_none() {
         eprintln!("error: unknown profile {:?}", repro.profile);
         return 2;
     }
@@ -177,8 +175,7 @@ fn main() {
         let seed = BASE_SEED + i;
         let profile = PROFILES[(i % PROFILES.len() as u64) as usize];
         let case_nodes = profile_nodes(profile, nodes);
-        let scenario = scenario_for(profile, horizon).expect("known profile");
-        let apps = scenario.mix.len();
+        let apps = spec_for(profile, horizon).expect("known profile").build().mix.len();
         let events = random_fault_events(seed, horizon, case_nodes as usize, apps, 5);
         let report = run_case(profile, seed, horizon, case_nodes, &events);
         if report.is_clean() {

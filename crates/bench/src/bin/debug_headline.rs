@@ -4,10 +4,10 @@
 use evolve::prelude::*;
 
 fn main() {
-    let outcome = ExperimentRunner::new(
-        RunConfig::builder(Scenario::headline(1.0), ManagerKind::Evolve).seed(42).build(),
-    )
-    .run();
+    let spec = ScenarioSpec::builtin("headline").expect("builtin scenario");
+    let outcome =
+        ExperimentRunner::new(RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(42).build())
+            .run();
     println!("app summaries:");
     for a in &outcome.apps {
         println!(

@@ -14,13 +14,10 @@ use evolve_bench::BenchArgs;
 
 fn main() {
     let args = BenchArgs::parse(5);
+    let spec = args.scenario_or("single_diurnal");
     let seeds = &args.seeds;
     eprintln!("running the diurnal day under EVOLVE ({} seed(s)) …", seeds.len());
-    let config = match args.scenario() {
-        Some(spec) => RunConfig::from_spec(spec, ManagerKind::Evolve),
-        None => RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve).nodes(6),
-    }
-    .build();
+    let config = RunConfig::from_spec(&spec, ManagerKind::Evolve).build();
     let rep = Harness::new().run_seeds(&config, seeds);
     let outcome = rep.representative();
     let names =

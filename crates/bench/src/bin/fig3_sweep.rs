@@ -13,6 +13,7 @@ use evolve_bench::BenchArgs;
 
 fn main() {
     let args = BenchArgs::parse(5);
+    let spec = args.scenario_or("load_sweep");
     let seeds = &args.seeds;
     let offered = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4];
     let managers = [
@@ -20,19 +21,14 @@ fn main() {
         ManagerKind::KubeStatic,
         ManagerKind::Hpa { target_utilization: 0.6 },
     ];
-    // One config per (load, manager) cell, all fanned out together. With
-    // `--scenario`, the sweep scales the declared load profiles instead
-    // of the builtin load_sweep mix.
+    // One config per (load, manager) cell, all fanned out together; each
+    // cell scales the service loads of `--scenario` (default: the
+    // builtin load_sweep mix).
     let configs: Vec<RunConfig> = offered
         .iter()
         .flat_map(|x| {
             managers.iter().map(|m| {
-                match args.scenario() {
-                    Some(spec) => RunConfig::from_spec(&spec.scaled_loads(*x), m.clone()),
-                    None => RunConfig::builder(Scenario::load_sweep(*x), m.clone()).nodes(10),
-                }
-                .record_series(false)
-                .build()
+                RunConfig::from_spec(&spec.scaled_loads(*x), m.clone()).record_series(false).build()
             })
         })
         .collect();

@@ -12,6 +12,7 @@ use evolve_bench::BenchArgs;
 
 fn main() {
     let args = BenchArgs::parse(5);
+    let spec = args.scenario_or("headline");
     let seeds = &args.seeds;
     let managers = [
         ManagerKind::Evolve,
@@ -19,16 +20,8 @@ fn main() {
         ManagerKind::Hpa { target_utilization: 0.6 },
     ];
     // The CSV wants the cluster time series, so series stay on.
-    let configs: Vec<RunConfig> = managers
-        .iter()
-        .map(|m| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, m.clone()),
-                None => RunConfig::builder(Scenario::headline(1.0), m.clone()),
-            }
-            .build()
-        })
-        .collect();
+    let configs: Vec<RunConfig> =
+        managers.iter().map(|m| RunConfig::from_spec(&spec, m.clone()).build()).collect();
     eprintln!("running {} policies × {} seeds …", configs.len(), seeds.len());
     let reps = Harness::new().run_matrix(&configs, seeds);
 

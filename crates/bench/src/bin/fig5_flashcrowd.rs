@@ -11,6 +11,7 @@ use evolve_bench::{replicated_settling, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse(5);
+    let spec = args.scenario_or("flash_crowd");
     let seeds = &args.seeds;
     let spike_at = SimTime::from_secs(120);
     let target_ms = 100.0;
@@ -20,16 +21,8 @@ fn main() {
         ManagerKind::KubeStatic,
     ];
     // Recovery analysis needs the per-tick p99 series, so series stay on.
-    let configs: Vec<RunConfig> = managers
-        .iter()
-        .map(|m| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, m.clone()),
-                None => RunConfig::builder(Scenario::flash_crowd(5.0), m.clone()).nodes(8),
-            }
-            .build()
-        })
-        .collect();
+    let configs: Vec<RunConfig> =
+        managers.iter().map(|m| RunConfig::from_spec(&spec, m.clone()).build()).collect();
     eprintln!("running {} policies × {} seeds …", configs.len(), seeds.len());
     let reps = Harness::new().run_matrix(&configs, seeds);
 

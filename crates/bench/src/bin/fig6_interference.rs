@@ -28,6 +28,7 @@ fn svc_violation_rate(r: &RunOutcome) -> f64 {
 
 fn main() {
     let args = BenchArgs::parse(5);
+    let spec = args.scenario_or("interference");
     let seeds = &args.seeds;
     let variants: Vec<(&str, ManagerKind, SchedulerProfile)> = vec![
         ("evolve + preemption", ManagerKind::Evolve, SchedulerProfile::Evolve),
@@ -37,13 +38,10 @@ fn main() {
     let configs: Vec<RunConfig> = variants
         .iter()
         .map(|(_, manager, profile)| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, manager.clone()),
-                None => RunConfig::builder(Scenario::interference(), manager.clone()).nodes(10),
-            }
-            .scheduler(*profile)
-            .record_series(false)
-            .build()
+            RunConfig::from_spec(&spec, manager.clone())
+                .scheduler(*profile)
+                .record_series(false)
+                .build()
         })
         .collect();
     eprintln!("running {} variants × {} seeds …", configs.len(), seeds.len());

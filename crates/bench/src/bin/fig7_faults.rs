@@ -23,17 +23,14 @@ fn main() {
     let mut config = match args.scenario() {
         Some(spec) => RunConfig::from_spec(spec, ManagerKind::Evolve).build(),
         None => {
+            let mut spec = ScenarioSpec::builtin("single_diurnal").expect("builtin scenario");
+            spec.horizon = SimDuration::from_secs(horizon);
             let faults = FaultPlan::new().with_node_crash(
                 NodeId::new(0),
                 SimTime::from_secs(crash_at),
                 Some(SimDuration::from_secs(downtime)),
             );
-            let mut config = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
-                .nodes(6)
-                .faults(faults)
-                .build();
-            config.scenario.horizon = SimDuration::from_secs(horizon);
-            config
+            RunConfig::from_spec(&spec, ManagerKind::Evolve).faults(faults).build()
         }
     };
     if smoke {

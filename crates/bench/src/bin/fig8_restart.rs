@@ -14,6 +14,7 @@ use evolve_bench::BenchArgs;
 
 fn main() {
     let args = BenchArgs::parse(1);
+    let spec = args.scenario_or("single_diurnal");
     let seeds = &args.seeds;
     let smoke = args.smoke;
     let (horizon, crash_at) = if smoke { (360u64, 180u64) } else { (720u64, 360u64) };
@@ -34,13 +35,10 @@ fn main() {
         // With `--scenario`, the spec supplies the workload and cluster
         // shape; each case still overrides the fault plan and recovery
         // strategy (that is the comparison under test).
-        let mut config = match args.scenario() {
-            Some(spec) => RunConfig::from_spec(spec, ManagerKind::Evolve),
-            None => RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve).nodes(6),
-        }
-        .faults(plan.clone())
-        .recovery(*recovery)
-        .build();
+        let mut config = RunConfig::from_spec(&spec, ManagerKind::Evolve)
+            .faults(plan.clone())
+            .recovery(*recovery)
+            .build();
         config.scenario.horizon = SimDuration::from_secs(horizon);
         eprintln!("{name} …");
         let rep = Harness::new().run_seeds(&config, seeds);

@@ -115,19 +115,24 @@ fn main() -> ExitCode {
         }
     };
     let mode = if smoke { "smoke" } else { "full" };
-    let (scenario, manager, nodes) = if scaled {
+    let config = if scaled {
         let nodes = if smoke { 250 } else { 1_000 };
         let apps = if smoke { 10 } else { 40 };
         let horizon = SimDuration::from_mins(if smoke { 2 } else { 10 });
-        (Scenario::cluster_scale(nodes, apps, horizon), ManagerKind::KubeStatic, Some(nodes))
+        let spec = ScenarioSpec::cluster_scale(nodes, apps, horizon);
+        RunConfig::from_spec(&spec, ManagerKind::KubeStatic)
+            .scheduler(SchedulerProfile::Evolve)
+            .record_series(false)
     } else {
-        let mut scenario = Scenario::headline(1.0);
+        let mut spec = ScenarioSpec::builtin("headline").expect("builtin scenario");
         if smoke {
-            scenario.horizon = SimDuration::from_mins(3);
+            spec.horizon = SimDuration::from_mins(3);
         }
-        (scenario, ManagerKind::Evolve, None)
-    };
-    let sim_secs = scenario.horizon.as_secs_f64();
+        RunConfig::from_spec(&spec, ManagerKind::Evolve)
+    }
+    .seed(BASE_SEED)
+    .build();
+    let sim_secs = config.scenario.horizon.as_secs_f64();
     eprintln!(
         "perf_macro: {profile} scenario, {mode} mode ({sim_secs:.0} sim-s), \
          seed {BASE_SEED}, best of {iters} iteration(s)"
@@ -138,11 +143,7 @@ fn main() -> ExitCode {
     // least-perturbed measurement.
     let mut best: Option<RunPerf> = None;
     for i in 0..iters {
-        let mut builder = RunConfig::builder(scenario.clone(), manager.clone()).seed(BASE_SEED);
-        if let Some(n) = nodes {
-            builder = builder.nodes(n).scheduler(SchedulerProfile::Evolve).record_series(false);
-        }
-        let outcome = ExperimentRunner::new(builder.build()).run();
+        let outcome = ExperimentRunner::new(config.clone()).run();
         print_perf(&format!("iter {}", i + 1), &outcome.perf);
         if best.is_none()
             || outcome.perf.sim_secs_per_wall_sec
@@ -203,7 +204,7 @@ fn main() -> ExitCode {
          \"filter_evals\": {},\n    \"feasibility_probes\": {},\n    \
          \"fast_metric_records\": {},\n    \"baseline_sim_secs_per_wall_sec\": {},\n    \
          \"tolerance\": {tolerance},\n    \"gate\": \"{}\",\n    \"verdict\": \"{verdict}\"\n  }}",
-        scenario.name,
+        config.scenario.name,
         best.ticks,
         best.events,
         best.wall_secs,

@@ -13,6 +13,7 @@ use evolve_bench::{headline_headers, headline_summary_row, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse(5);
+    let spec = args.scenario_or("headline");
     let seeds = &args.seeds;
     let managers = [
         ManagerKind::Evolve,
@@ -22,14 +23,7 @@ fn main() {
     ];
     let configs: Vec<RunConfig> = managers
         .iter()
-        .map(|m| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, m.clone()),
-                None => RunConfig::builder(Scenario::headline(1.0), m.clone()),
-            }
-            .record_series(false)
-            .build()
-        })
+        .map(|m| RunConfig::from_spec(&spec, m.clone()).record_series(false).build())
         .collect();
     eprintln!("running {} policies × {} seeds …", configs.len(), seeds.len());
     let reps = Harness::new().run_matrix(&configs, seeds);

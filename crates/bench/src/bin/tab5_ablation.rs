@@ -14,6 +14,7 @@ use evolve_core::EvolvePolicyConfig;
 
 fn main() {
     let args = BenchArgs::parse(5);
+    let spec = args.scenario_or("bottleneck_rotation");
     let seeds = &args.seeds;
     let variants: Vec<(&str, ManagerKind)> = vec![
         ("evolve (full)", ManagerKind::Evolve),
@@ -28,14 +29,7 @@ fn main() {
     let configs: Vec<RunConfig> = variants
         .iter()
         .map(|(_, manager)| {
-            match args.scenario() {
-                Some(spec) => RunConfig::from_spec(spec, manager.clone()),
-                None => {
-                    RunConfig::builder(Scenario::bottleneck_rotation(), manager.clone()).nodes(12)
-                }
-            }
-            .record_series(false)
-            .build()
+            RunConfig::from_spec(&spec, manager.clone()).record_series(false).build()
         })
         .collect();
     eprintln!("running {} variants × {} seeds …", configs.len(), seeds.len());

@@ -42,6 +42,7 @@ fn violations_during(rep: &ReplicatedOutcome, from: u64, to: u64, target_ms: f64
 
 fn main() {
     let args = BenchArgs::parse(5);
+    let spec = args.scenario_or("single_diurnal");
     let seeds = &args.seeds;
     let (horizon, fault_at) = if args.smoke { (360u64, 120u64) } else { (900u64, 300u64) };
     let target_ms = 100.0;
@@ -91,12 +92,8 @@ fn main() {
             .map(|m| {
                 // With `--scenario`, the spec supplies the workload and
                 // cluster shape; each case still injects its own fault.
-                let mut config = match args.scenario() {
-                    Some(spec) => RunConfig::from_spec(spec, m.clone()),
-                    None => RunConfig::builder(Scenario::single_diurnal(), m.clone()).nodes(6),
-                }
-                .faults(case.plan.clone())
-                .build();
+                let mut config =
+                    RunConfig::from_spec(&spec, m.clone()).faults(case.plan.clone()).build();
                 config.scenario.horizon = SimDuration::from_secs(horizon);
                 config
             })

@@ -70,6 +70,7 @@ fn min_replicas_during(rep: &ReplicatedOutcome, from: u64, to: u64) -> Summary {
 
 fn main() {
     let args = BenchArgs::parse(5);
+    let spec = args.scenario_or("single_diurnal");
     let seeds = &args.seeds;
     let (horizon, crash_at) = if args.smoke { (360u64, 180u64) } else { (900u64, 450u64) };
     let target_ms = 100.0;
@@ -93,13 +94,10 @@ fn main() {
         // With `--scenario`, the spec supplies the workload and cluster
         // shape; each case still overrides the fault plan and recovery
         // strategy (that is the comparison under test).
-        let mut config = match args.scenario() {
-            Some(spec) => RunConfig::from_spec(spec, ManagerKind::Evolve),
-            None => RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve).nodes(6),
-        }
-        .faults(plan.clone())
-        .recovery(*recovery)
-        .build();
+        let mut config = RunConfig::from_spec(&spec, ManagerKind::Evolve)
+            .faults(plan.clone())
+            .recovery(*recovery)
+            .build();
         config.scenario.horizon = SimDuration::from_secs(horizon);
         eprintln!("{name}: {} seed(s) …", seeds.len());
         let rep = Harness::new().run_seeds(&config, seeds);

@@ -127,29 +127,20 @@ fn main() -> ExitCode {
     if let Some(parent) = dump_path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    let builder = match args.scenario() {
-        // The spec carries the cluster shape and (optionally) the
-        // arbiter; `from_spec` applies them all.
-        Some(spec) => RunConfig::from_spec(spec, ManagerKind::Evolve),
-        None => {
-            let mut scenario =
-                if overload { Scenario::overload(1.5) } else { Scenario::headline(1.0) };
-            if args.smoke {
-                scenario.horizon = SimDuration::from_mins(3);
-            }
-            let mut b = RunConfig::builder(scenario, ManagerKind::Evolve);
-            if overload {
-                b = b.nodes(4).arbiter(ArbiterConfig::default());
-            }
-            b
-        }
+    // The spec carries the cluster shape and (optionally) the arbiter;
+    // `from_spec` applies them all. Overload's spec brings its arbiter.
+    let mut spec = if overload && args.scenario().is_none() {
+        ScenarioSpec::builtin("overload").expect("builtin scenario").scaled_loads(1.5)
+    } else {
+        args.scenario_or("headline")
+    };
+    if args.smoke {
+        spec.horizon = spec.horizon.min(SimDuration::from_mins(3));
     }
-    .seed(BASE_SEED)
-    .trace(TraceConfig::default().with_capacity(1 << 20).dump_to(&dump_path));
-    let mut cfg = builder.build();
-    if args.smoke && args.scenario().is_some() {
-        cfg.scenario.horizon = cfg.scenario.horizon.min(SimDuration::from_mins(3));
-    }
+    let cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve)
+        .seed(BASE_SEED)
+        .trace(TraceConfig::default().with_capacity(1 << 20).dump_to(&dump_path))
+        .build();
     eprintln!("running {scenario_name} scenario (seed {BASE_SEED}) with decision tracing …");
     let outcome = ExperimentRunner::new(cfg).run();
     eprintln!(

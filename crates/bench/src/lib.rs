@@ -155,6 +155,20 @@ impl BenchArgs {
     pub fn scenario(&self) -> Option<&ScenarioSpec> {
         self.scenario.as_ref()
     }
+
+    /// The `--scenario` spec when given, else the builtin `name` (see
+    /// [`evolve_workload::BUILTIN_NAMES`]) — the binary's default
+    /// scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `name` is not a builtin.
+    #[must_use]
+    pub fn scenario_or(&self, name: &str) -> ScenarioSpec {
+        self.scenario.clone().unwrap_or_else(|| {
+            ScenarioSpec::builtin(name).unwrap_or_else(|err| panic!("builtin {name}: {err}"))
+        })
+    }
 }
 
 /// `EVOLVE_SMOKE` semantics shared by [`BenchArgs`] and the Criterion

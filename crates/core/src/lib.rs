@@ -20,12 +20,11 @@
 //!
 //! ```no_run
 //! use evolve_core::{ExperimentRunner, ManagerKind, RunConfig};
-//! use evolve_workload::Scenario;
+//! use evolve_workload::ScenarioSpec;
 //!
-//! let cfg = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
-//!     .nodes(4)
-//!     .seed(7)
-//!     .build();
+//! let mut spec = ScenarioSpec::builtin("single_diurnal").unwrap();
+//! spec.cluster.nodes = 4;
+//! let cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(7).build();
 //! let outcome = ExperimentRunner::new(cfg).run();
 //! println!("violation rate {:.3}", outcome.total_violation_rate());
 //! ```
@@ -53,6 +52,6 @@ pub use policy::{
 };
 pub use report::{write_csv, Summary, Table};
 pub use runner::{
-    arbiter_from_spec, faults_from_spec, AppSummary, ExperimentRunner, RecoveryStrategy, RunConfig,
-    RunConfigBuilder, RunOutcome, RunPerf, SchedulerProfile,
+    AppSummary, ExperimentRunner, RecoveryStrategy, RunConfig, RunConfigBuilder, RunOutcome,
+    RunPerf, SchedulerProfile,
 };

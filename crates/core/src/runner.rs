@@ -13,9 +13,7 @@ use evolve_telemetry::trace::{
 };
 use evolve_telemetry::{MetricKey, MetricRegistry, UtilizationAccount, UtilizationSummary};
 use evolve_types::{AppId, NodeId, PodId, PriorityClass, ResourceVec, SimDuration, SimTime};
-use evolve_workload::{
-    ArbiterSpec, FaultSpec, SamplingMode, Scenario, ScenarioError, ScenarioSpec, WorldClass,
-};
+use evolve_workload::{ArbiterSpec, FaultSpec, SamplingMode, Scenario, ScenarioSpec, WorldClass};
 
 use crate::manager::{ManagerKind, ResourceManager};
 
@@ -126,71 +124,61 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A run with the evaluation defaults: 20 nodes, 5 s control
-    /// interval, the EVOLVE scheduler profile for EVOLVE managers and the
-    /// stock profile for baselines.
-    #[must_use]
-    pub fn new(scenario: Scenario, manager: ManagerKind) -> Self {
-        let scheduler = match manager {
-            ManagerKind::Evolve | ManagerKind::EvolveWith(_) => SchedulerProfile::Evolve,
-            _ => SchedulerProfile::KubeDefault,
-        };
-        RunConfig {
-            scenario,
-            manager,
-            scheduler,
-            nodes: 20,
-            node_shape: NodeShape::default(),
-            control_interval: SimDuration::from_secs(5),
-            seed: 42,
-            record_series: true,
-            faults: FaultPlan::new(),
-            recovery: RecoveryStrategy::default(),
-            checkpoint_interval_ticks: 1,
-            trace: TraceConfig::default(),
-            legacy_sampling: false,
-            oracle: false,
-            arbiter: None,
-            indexed_scheduling: true,
-        }
-    }
-
-    /// Starts a builder from the evaluation defaults — the one
-    /// configuration surface for every override:
-    ///
-    /// ```
-    /// use evolve_core::{ManagerKind, RunConfig};
-    /// use evolve_workload::Scenario;
-    ///
-    /// let config = RunConfig::builder(Scenario::headline(0.2), ManagerKind::Evolve)
-    ///     .nodes(8)
-    ///     .seed(7)
-    ///     .record_series(false)
-    ///     .build();
-    /// assert_eq!(config.nodes, 8);
-    /// ```
-    #[must_use]
-    pub fn builder(scenario: Scenario, manager: ManagerKind) -> RunConfigBuilder {
-        RunConfigBuilder { config: RunConfig::new(scenario, manager) }
-    }
-
-    /// Starts a builder from a declarative [`ScenarioSpec`]: the spec's
-    /// workload, cluster shape (node count and capacity), arbiter settings
-    /// and fault plan are all applied, so a run configured from a
-    /// `scenarios/*.toml` file needs no further overrides:
+    /// Starts a builder from a declarative [`ScenarioSpec`] — the one way
+    /// to configure a run. The spec supplies the workload, the cluster
+    /// shape (node count and capacity), the arbiter settings and the
+    /// fault plan; everything else starts at the evaluation defaults
+    /// (5 s control interval, seed 42, series on, the EVOLVE scheduler
+    /// profile for EVOLVE managers and the stock profile for baselines)
+    /// and is overridden on the builder. A caller that needs a different
+    /// cluster shape or arbiter edits the spec first:
     ///
     /// ```
     /// use evolve_core::{ManagerKind, RunConfig};
     /// use evolve_workload::ScenarioSpec;
     ///
-    /// let spec = ScenarioSpec::builtin("overload").unwrap();
+    /// let mut spec = ScenarioSpec::builtin("overload").unwrap();
     /// let config = RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(7).build();
     /// assert_eq!(config.nodes, 4);
     /// assert!(config.arbiter.is_some());
+    ///
+    /// spec.cluster.nodes = 8;
+    /// spec.arbiter = None;
+    /// let config = RunConfig::from_spec(&spec, ManagerKind::Evolve).build();
+    /// assert_eq!((config.nodes, config.arbiter.is_none()), (8, true));
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics when the spec declares zero nodes (file-loaded specs are
+    /// validated against this).
     #[must_use]
     pub fn from_spec(spec: &ScenarioSpec, manager: ManagerKind) -> RunConfigBuilder {
-        RunConfig::builder(spec.build(), manager).scenario_spec(spec)
+        assert!(spec.cluster.nodes > 0, "need at least one node");
+        let scheduler = match manager {
+            ManagerKind::Evolve | ManagerKind::EvolveWith(_) => SchedulerProfile::Evolve,
+            _ => SchedulerProfile::KubeDefault,
+        };
+        RunConfigBuilder {
+            config: RunConfig {
+                scenario: spec.build(),
+                manager,
+                scheduler,
+                nodes: spec.cluster.nodes,
+                node_shape: NodeShape { capacity: spec.node_capacity() },
+                control_interval: SimDuration::from_secs(5),
+                seed: 42,
+                record_series: true,
+                faults: faults_from_spec(&spec.faults),
+                recovery: RecoveryStrategy::default(),
+                checkpoint_interval_ticks: 1,
+                trace: TraceConfig::default(),
+                legacy_sampling: false,
+                oracle: false,
+                arbiter: spec.arbiter.as_ref().map(arbiter_from_spec),
+                indexed_scheduling: true,
+            },
+        }
     }
 }
 
@@ -198,8 +186,7 @@ impl RunConfig {
 /// control crate's [`ArbiterConfig`]. A free function because the
 /// workload crate (where the spec lives) cannot depend on the control
 /// crate.
-#[must_use]
-pub fn arbiter_from_spec(spec: &ArbiterSpec) -> ArbiterConfig {
+fn arbiter_from_spec(spec: &ArbiterSpec) -> ArbiterConfig {
     ArbiterConfig {
         headroom_fraction: spec.headroom_fraction,
         floor_fraction: spec.floor_fraction,
@@ -211,8 +198,7 @@ pub fn arbiter_from_spec(spec: &ArbiterSpec) -> ArbiterConfig {
 
 /// Converts a declarative fault list from a [`ScenarioSpec`] into the
 /// simulator's [`FaultPlan`].
-#[must_use]
-pub fn faults_from_spec(faults: &[FaultSpec]) -> FaultPlan {
+fn faults_from_spec(faults: &[FaultSpec]) -> FaultPlan {
     let mut plan = FaultPlan::new();
     for fault in faults {
         plan = match *fault {
@@ -228,35 +214,16 @@ pub fn faults_from_spec(faults: &[FaultSpec]) -> FaultPlan {
     plan
 }
 
-/// Fluent construction of a [`RunConfig`], replacing the former `with_*`
-/// method sprawl on the config itself. Obtain one from
-/// [`RunConfig::builder`]; every setter consumes and returns the builder,
-/// and [`build`](RunConfigBuilder::build) yields the finished config.
+/// Fluent construction of a [`RunConfig`]. Obtain one from
+/// [`RunConfig::from_spec`]; every setter consumes and returns the
+/// builder, and [`build`](RunConfigBuilder::build) yields the finished
+/// config.
 #[derive(Debug, Clone)]
 pub struct RunConfigBuilder {
     config: RunConfig,
 }
 
 impl RunConfigBuilder {
-    /// Overrides the node count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when zero.
-    #[must_use]
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        assert!(nodes > 0, "need at least one node");
-        self.config.nodes = nodes;
-        self
-    }
-
-    /// Overrides the node hardware shape.
-    #[must_use]
-    pub fn node_shape(mut self, shape: NodeShape) -> Self {
-        self.config.node_shape = shape;
-        self
-    }
-
     /// Overrides the control-loop interval.
     #[must_use]
     pub fn control_interval(mut self, interval: SimDuration) -> Self {
@@ -340,15 +307,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Installs the cluster-level capacity arbiter: demand is arbitrated
-    /// by priority class against ready capacity before actuation, and
-    /// clipped or shed apps switch to admission-control load shedding.
-    #[must_use]
-    pub fn arbiter(mut self, config: ArbiterConfig) -> Self {
-        self.config.arbiter = Some(config);
-        self
-    }
-
     /// Selects between index-pruned scheduling (`true`, the default) and
     /// the naive full node scan (`false`). Plans are identical either
     /// way; benchmarks flip this to quantify the feasibility index.
@@ -356,47 +314,6 @@ impl RunConfigBuilder {
     pub fn indexed_scheduling(mut self, indexed: bool) -> Self {
         self.config.indexed_scheduling = indexed;
         self
-    }
-
-    /// Replaces the scenario, cluster shape, arbiter and fault plan from
-    /// a declarative [`ScenarioSpec`]. Fields the spec does not model
-    /// (seed, scheduler profile, recovery strategy, …) keep their current
-    /// values; a spec without an `[arbiter]` table or `[[fault]]` entries
-    /// clears any previously configured ones so the builder always
-    /// mirrors the spec.
-    #[must_use]
-    pub fn scenario_spec(mut self, spec: &ScenarioSpec) -> Self {
-        self.config.scenario = spec.build();
-        self.config.nodes = spec.cluster.nodes;
-        self.config.node_shape = NodeShape { capacity: spec.node_capacity() };
-        self.config.arbiter = spec.arbiter.as_ref().map(arbiter_from_spec);
-        self.config.faults = faults_from_spec(&spec.faults);
-        self
-    }
-
-    /// Loads a scenario from a TOML file (see EXPERIMENTS.md § Authoring
-    /// scenarios) and applies it via
-    /// [`scenario_spec`](RunConfigBuilder::scenario_spec).
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`ScenarioError`] when the file cannot be read,
-    /// parsed or validated.
-    pub fn scenario_file(self, path: impl AsRef<std::path::Path>) -> Result<Self, ScenarioError> {
-        let spec = ScenarioSpec::from_file(path)?;
-        Ok(self.scenario_spec(&spec))
-    }
-
-    /// Applies a builtin scenario by name (see
-    /// [`evolve_workload::BUILTIN_NAMES`]) via
-    /// [`scenario_spec`](RunConfigBuilder::scenario_spec).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::UnknownScenario`] for an unknown name.
-    pub fn scenario_named(self, name: &str) -> Result<Self, ScenarioError> {
-        let spec = ScenarioSpec::builtin(name)?;
-        Ok(self.scenario_spec(&spec))
     }
 
     /// Finishes the builder.

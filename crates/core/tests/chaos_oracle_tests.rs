@@ -7,17 +7,16 @@ use evolve_core::{ExperimentRunner, ManagerKind, RecoveryStrategy, RunConfig};
 use evolve_sim::chaos::{plan_from_events, random_fault_events};
 use evolve_sim::FaultPlan;
 use evolve_types::{SimDuration, SimTime};
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 
 fn config(horizon_secs: u64, seed: u64) -> RunConfig {
-    let mut cfg = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
-        .nodes(6)
+    let mut spec = ScenarioSpec::builtin("single_diurnal").expect("builtin");
+    spec.horizon = SimDuration::from_secs(horizon_secs);
+    RunConfig::from_spec(&spec, ManagerKind::Evolve)
         .seed(seed)
         .record_series(false)
         .oracle(true)
-        .build();
-    cfg.scenario.horizon = SimDuration::from_secs(horizon_secs);
-    cfg
+        .build()
 }
 
 #[test]

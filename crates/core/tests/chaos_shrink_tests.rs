@@ -11,13 +11,13 @@ use evolve_core::{ExperimentRunner, ManagerKind, RunConfig};
 use evolve_sim::chaos::{plan_from_events, shrink_events};
 use evolve_sim::{FaultEvent, FaultKind, OracleReport, Reproducer};
 use evolve_types::{SimDuration, SimTime};
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 
 fn run_case(seed: u64, events: &[FaultEvent]) -> OracleReport {
-    let mut scenario = Scenario::interference();
-    scenario.horizon = SimDuration::from_secs(150);
-    let cfg = RunConfig::builder(scenario, ManagerKind::Evolve)
-        .nodes(8)
+    let mut spec = ScenarioSpec::builtin("interference").expect("builtin");
+    spec.horizon = SimDuration::from_secs(150);
+    spec.cluster.nodes = 8;
+    let cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve)
         .seed(seed)
         .record_series(false)
         .faults(plan_from_events(events))

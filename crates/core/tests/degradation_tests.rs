@@ -7,12 +7,13 @@
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig};
 use evolve_sim::FaultPlan;
 use evolve_types::{NodeId, SimDuration, SimTime};
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 
 fn faulted_config(horizon_secs: u64, faults: FaultPlan) -> RunConfig {
-    let mut config =
-        RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve).nodes(4).build();
-    config.scenario.horizon = SimDuration::from_secs(horizon_secs);
+    let mut spec = ScenarioSpec::builtin("single_diurnal").expect("builtin");
+    spec.horizon = SimDuration::from_secs(horizon_secs);
+    spec.cluster.nodes = 4;
+    let mut config = RunConfig::from_spec(&spec, ManagerKind::Evolve).build();
     config.faults = faults;
     config
 }

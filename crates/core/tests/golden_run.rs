@@ -19,7 +19,7 @@ use std::path::PathBuf;
 
 use evolve_core::{ExperimentRunner, ManagerKind, RunConfig, RunOutcome};
 use evolve_types::SimDuration;
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_headline.txt")
@@ -30,9 +30,10 @@ fn fixture_path() -> PathBuf {
 /// under the EVOLVE manager, long enough to exercise scale-out/in,
 /// binding, preemption and the quantile paths.
 fn golden_config() -> RunConfig {
-    let mut scenario = Scenario::headline(0.5);
-    scenario.horizon = SimDuration::from_mins(5);
-    RunConfig::builder(scenario, ManagerKind::Evolve).nodes(8).seed(42).build()
+    let mut spec = ScenarioSpec::builtin("headline").expect("builtin").scaled(0.5);
+    spec.horizon = SimDuration::from_mins(5);
+    spec.cluster.nodes = 8;
+    RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(42).build()
 }
 
 /// Serializes everything a run measured, bit-exactly. Floats are dumped
@@ -124,11 +125,8 @@ fn golden_headline_unchanged_by_trace_dump() {
 /// preserves the old RNG stream and the flag's contract is broken.
 #[test]
 fn legacy_sampling_reproduces_pre_batched_fixture() {
-    let config = RunConfig::builder(golden_config().scenario, ManagerKind::Evolve)
-        .nodes(8)
-        .seed(42)
-        .legacy_sampling(true)
-        .build();
+    let mut config = golden_config();
+    config.legacy_sampling = true;
     let outcome = ExperimentRunner::new(config).run();
     let dump = golden_dump(&outcome);
     let path =

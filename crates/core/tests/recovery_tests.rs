@@ -3,7 +3,6 @@
 //! exact uninterrupted trajectory), and the safety properties of cold
 //! reconstruction (no scale-to-zero, slew-limited re-engagement).
 
-use evolve_control::ArbiterConfig;
 use evolve_core::{
     ControllerCheckpoint, ExperimentRunner, ManagerKind, RecoveryStrategy, ResourceManager,
     RunConfig, RunOutcome,
@@ -11,16 +10,13 @@ use evolve_core::{
 use evolve_scheduler::RequeueBackoff;
 use evolve_sim::{ClusterConfig, FaultPlan, NodeShape, Simulation, SimulationConfig};
 use evolve_types::{SimDuration, SimTime};
-use evolve_workload::Scenario;
+use evolve_workload::ScenarioSpec;
 use proptest::prelude::*;
 
 fn base_config(horizon_secs: u64, seed: u64) -> RunConfig {
-    let mut cfg = RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve)
-        .nodes(6)
-        .seed(seed)
-        .build();
-    cfg.scenario.horizon = SimDuration::from_secs(horizon_secs);
-    cfg
+    let mut spec = ScenarioSpec::builtin("single_diurnal").expect("builtin");
+    spec.horizon = SimDuration::from_secs(horizon_secs);
+    RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(seed).build()
 }
 
 fn crashed_config(
@@ -35,15 +31,12 @@ fn crashed_config(
     cfg
 }
 
-/// An overloaded cluster (1.2× the capacity knee) with the capacity
-/// arbiter engaged, optionally crashing the controller mid-run.
+/// An overloaded cluster (1.2× the capacity knee) with the spec's
+/// capacity arbiter engaged, optionally crashing the controller mid-run.
 fn saturated_config(horizon_secs: u64, seed: u64, crash_at: Option<u64>) -> RunConfig {
-    let mut cfg = RunConfig::builder(Scenario::overload(1.2), ManagerKind::Evolve)
-        .nodes(4)
-        .seed(seed)
-        .arbiter(ArbiterConfig::default())
-        .build();
-    cfg.scenario.horizon = SimDuration::from_secs(horizon_secs);
+    let mut spec = ScenarioSpec::builtin("overload").expect("builtin").scaled_loads(1.2);
+    spec.horizon = SimDuration::from_secs(horizon_secs);
+    let mut cfg = RunConfig::from_spec(&spec, ManagerKind::Evolve).seed(seed).build();
     if let Some(t) = crash_at {
         cfg.faults = FaultPlan::new().with_controller_crash(SimTime::from_secs(t));
         cfg.recovery = RecoveryStrategy::Restore;
@@ -81,7 +74,7 @@ fn assert_identical_series(a: &RunOutcome, b: &RunOutcome) {
 /// A live simulation with the manager ticked a few times, for checkpoint
 /// capture tests.
 fn warmed_manager(ticks: u32) -> (Simulation, ResourceManager) {
-    let scenario = Scenario::single_diurnal();
+    let scenario = ScenarioSpec::builtin("single_diurnal").expect("builtin").build();
     let mut sim = Simulation::new(
         SimulationConfig::default(),
         ClusterConfig::uniform(6, NodeShape::default()),

@@ -1093,8 +1093,8 @@ mod tests {
     #[test]
     fn oracle_reports_clean_on_untouched_cluster() {
         use crate::{ClusterConfig, NodeShape, Simulation, SimulationConfig};
-        use evolve_workload::Scenario;
-        let scenario = Scenario::single_diurnal();
+        use evolve_workload::ScenarioSpec;
+        let scenario = ScenarioSpec::builtin("single_diurnal").unwrap().build();
         let sim = Simulation::new(
             SimulationConfig::default(),
             ClusterConfig::uniform(4, NodeShape::default()),

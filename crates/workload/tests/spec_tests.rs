@@ -1,13 +1,7 @@
 //! Integration tests for the declarative scenario layer: the checked-in
-//! `scenarios/*.toml` files are pinned byte-identical to what the builtin
-//! spec emitters produce, the parser round-trips them, and malformed
-//! input fails with the right typed [`ScenarioError`] — never a panic.
-//!
-//! Regenerate the checked-in files after changing a builtin emitter:
-//!
-//! ```text
-//! EVOLVE_BLESS_SCENARIOS=1 cargo test -p evolve-workload --test spec_tests
-//! ```
+//! `scenarios/*.toml` files are the builtin scenarios, each is in the
+//! canonical form `to_toml` emits, and malformed input fails with the
+//! right typed [`ScenarioError`] — never a panic.
 
 use std::path::PathBuf;
 
@@ -17,61 +11,37 @@ fn scenarios_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"))
 }
 
-fn blessing() -> bool {
-    std::env::var("EVOLVE_BLESS_SCENARIOS").is_ok_and(|v| !v.trim().is_empty() && v != "0")
-}
-
-/// Every builtin spec has a checked-in TOML file whose bytes equal what
-/// `to_toml` emits today. With `EVOLVE_BLESS_SCENARIOS=1` the files are
-/// (re)written instead of compared.
+/// Every checked-in scenario file is in canonical form: re-emitting the
+/// parsed spec reproduces the file byte for byte. This keeps `to_toml`
+/// honest and the files free of hand-formatting drift.
 #[test]
-fn checked_in_scenarios_are_blessed_builtin_emissions() {
-    let dir = scenarios_dir();
-    if blessing() {
-        std::fs::create_dir_all(&dir).expect("create scenarios/");
-    }
-    for name in BUILTIN_NAMES {
-        let spec = ScenarioSpec::builtin(name).expect("builtin");
-        let emitted = spec.to_toml();
-        let path = dir.join(format!("{name}.toml"));
-        if blessing() {
-            std::fs::write(&path, &emitted).expect("write scenario file");
-            continue;
-        }
-        let on_disk = std::fs::read_to_string(&path).unwrap_or_else(|err| {
-            panic!(
-                "missing {} ({err}) — run EVOLVE_BLESS_SCENARIOS=1 cargo test -p \
-                 evolve-workload --test spec_tests",
-                path.display()
-            )
-        });
-        assert_eq!(
-            on_disk,
-            emitted,
-            "{} drifted from the builtin emitter — re-bless or fix the emitter",
-            path.display()
-        );
+fn checked_in_scenarios_are_in_canonical_form() {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(scenarios_dir())
+        .expect("scenarios/ exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= BUILTIN_NAMES.len(), "expected every builtin file: {files:?}");
+    for path in files {
+        let on_disk = std::fs::read_to_string(&path).expect("read scenario file");
+        let spec = ScenarioSpec::from_file(&path)
+            .unwrap_or_else(|err| panic!("{}: {err}", path.display()));
+        assert_eq!(spec.to_toml(), on_disk, "{} is not in canonical form", path.display());
     }
 }
 
-/// Parsing a checked-in file reproduces the builtin spec exactly, and the
-/// parsed spec builds the same scenario the constructor does.
+/// Every registered builtin resolves from its embedded file, and the
+/// embedded copy is the checked-in `scenarios/<name>.toml`.
 #[test]
-fn checked_in_scenarios_parse_back_to_the_builtin_spec() {
-    if blessing() {
-        return;
-    }
+fn every_builtin_name_resolves_from_its_file() {
     for name in BUILTIN_NAMES {
-        let spec = ScenarioSpec::builtin(name).expect("builtin");
+        let builtin = ScenarioSpec::builtin(name).unwrap_or_else(|err| panic!("{name}: {err}"));
         let path = scenarios_dir().join(format!("{name}.toml"));
         let parsed = ScenarioSpec::from_file(&path)
             .unwrap_or_else(|err| panic!("{}: {err}", path.display()));
-        assert_eq!(parsed, spec, "{name}: file spec != builtin spec");
-        let a = parsed.build();
-        let b = spec.build();
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.horizon, b.horizon);
-        assert_eq!(a.mix.len(), b.mix.len());
+        assert_eq!(builtin, parsed, "{name}: embedded spec != {}", path.display());
+        assert!(!builtin.build().mix.is_empty(), "{name} builds empty");
     }
 }
 
@@ -153,7 +123,7 @@ fn unknown_builtin_name_is_typed() {
 /// and partial writes).
 #[test]
 fn truncated_documents_never_panic() {
-    let full = ScenarioSpec::headline(1.0).to_toml();
+    let full = ScenarioSpec::builtin("headline").unwrap().to_toml();
     for end in 0..full.len() {
         if !full.is_char_boundary(end) {
             continue;

@@ -25,10 +25,8 @@
 //! ```no_run
 //! use evolve::prelude::*;
 //!
-//! let outcome = ExperimentRunner::new(
-//!     RunConfig::builder(Scenario::single_diurnal(), ManagerKind::Evolve).nodes(6).build(),
-//! )
-//! .run();
+//! let spec = ScenarioSpec::builtin("single_diurnal").unwrap();
+//! let outcome = ExperimentRunner::new(RunConfig::from_spec(&spec, ManagerKind::Evolve).build()).run();
 //! println!(
 //!     "{}: violation rate {:.3}, mean allocated share {:.2}",
 //!     outcome.manager,
@@ -54,11 +52,10 @@ pub use evolve_workload as workload;
 /// ```no_run
 /// use evolve::prelude::*;
 ///
+/// let mut spec = ScenarioSpec::builtin("headline").unwrap().scaled(0.5);
+/// spec.cluster.nodes = 8;
 /// let rep = Harness::new().run_seeds(
-///     &RunConfig::builder(Scenario::headline(0.5), ManagerKind::Evolve)
-///         .nodes(8)
-///         .record_series(false)
-///         .build(),
+///     &RunConfig::from_spec(&spec, ManagerKind::Evolve).record_series(false).build(),
 ///     &[42, 43, 44],
 /// );
 /// println!("violation rate {:.3}", rep.violation_rate().mean);
@@ -66,9 +63,8 @@ pub use evolve_workload as workload;
 pub mod prelude {
     pub use evolve_control::ArbiterConfig;
     pub use evolve_core::{
-        arbiter_from_spec, faults_from_spec, write_csv, ExperimentRunner, Harness, ManagerKind,
-        RecoveryStrategy, ReplicatedOutcome, RunConfig, RunConfigBuilder, RunOutcome, RunPerf,
-        SchedulerProfile, Summary, Table,
+        write_csv, ExperimentRunner, Harness, ManagerKind, RecoveryStrategy, ReplicatedOutcome,
+        RunConfig, RunConfigBuilder, RunOutcome, RunPerf, SchedulerProfile, Summary, Table,
     };
     pub use evolve_sim::{
         ChaosOracle, FaultEvent, FaultKind, FaultPlan, NodeShape, OracleReport, OracleViolation,
