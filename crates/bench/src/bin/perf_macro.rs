@@ -202,7 +202,7 @@ fn main() -> ExitCode {
          \"ticks\": {},\n    \"events\": {},\n    \"wall_secs\": {:.4},\n    \
          \"sim_secs_per_wall_sec\": {:.1},\n    \"peak_running_pods\": {},\n    \
          \"filter_evals\": {},\n    \"feasibility_probes\": {},\n    \
-         \"fast_metric_records\": {},\n    \"baseline_sim_secs_per_wall_sec\": {},\n    \
+         \"score_evals\": {},\n    \"fast_metric_records\": {},\n    \"baseline_sim_secs_per_wall_sec\": {},\n    \
          \"tolerance\": {tolerance},\n    \"gate\": \"{}\",\n    \"verdict\": \"{verdict}\"\n  }}",
         config.scenario.name,
         best.ticks,
@@ -212,6 +212,7 @@ fn main() -> ExitCode {
         best.peak_running_pods,
         best.filter_evals,
         best.feasibility_probes,
+        best.score_evals,
         best.fast_metric_records,
         baseline.map_or_else(|| "null".into(), |b| format!("{b:.1}")),
         if gate_on { "on" } else { "off" },

@@ -5,8 +5,14 @@
 //! pending queue warm, and ~1.2 × nodes placements per control tick.
 //! Each grid cell runs twice — naive full-node-scan scheduling and the
 //! incremental feasibility index — and reports µs per scheduled pod,
-//! feasibility work per pod (filter evaluations + index probes) and the
-//! measured reduction factor of the index over the scan.
+//! feasibility work per pod (filter evaluations + index probes), scorer-set
+//! evaluations per pod, and the measured reduction factor of the index
+//! over the scan.
+//!
+//! The two modes must bind exactly the same pods: the process exits
+//! non-zero when a grid row's naive and indexed cells differ in pods
+//! bound, so a release build (where the debug cross-check is compiled
+//! out) still gates placement equality.
 //!
 //! ```text
 //! cargo run --release -p evolve-bench --bin tab8_cluster_scale
@@ -28,6 +34,7 @@ struct Cell {
     us_per_pod: f64,
     evals_per_pod: f64,
     probes_per_pod: f64,
+    scores_per_pod: f64,
     sim_per_wall: f64,
     peak_running: u32,
 }
@@ -50,12 +57,13 @@ fn run_cell(nodes: usize, apps: usize, horizon: SimDuration, indexed: bool) -> C
         us_per_pod: outcome.perf.sched_wall_ns as f64 / 1e3 / bound as f64,
         evals_per_pod: outcome.perf.filter_evals as f64 / bound as f64,
         probes_per_pod: outcome.perf.feasibility_probes as f64 / bound as f64,
+        scores_per_pod: outcome.perf.score_evals as f64 / bound as f64,
         sim_per_wall: outcome.perf.sim_secs_per_wall_sec,
         peak_running: outcome.perf.peak_running_pods,
     }
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     let args = BenchArgs::parse(1);
     let smoke = args.smoke;
     // (nodes, service apps, simulated horizon, run the naive baseline?).
@@ -82,6 +90,7 @@ fn main() {
             "µs/pod",
             "evals/pod",
             "probes/pod",
+            "scores/pod",
             "reduction",
             "sim-s/wall-s",
             "peak running",
@@ -89,10 +98,17 @@ fn main() {
         .map(String::from)
         .to_vec(),
     );
+    let mut mismatches = Vec::new();
     for (nodes, apps, horizon_secs, with_naive) in grid {
         let horizon = SimDuration::from_secs(horizon_secs);
         let naive = with_naive.then(|| run_cell(nodes, apps, horizon, false));
         let indexed = run_cell(nodes, apps, horizon, true);
+        if let Some(n) = naive.as_ref().filter(|n| n.bound != indexed.bound) {
+            mismatches.push(format!(
+                "{nodes} nodes: naive bound {} pods, indexed {}",
+                n.bound, indexed.bound
+            ));
+        }
         // Feasibility work per scheduled pod: the naive scan pays filter
         // evaluations only; the index pays (few) filter evaluations plus
         // tree probes. The ratio is the headline reduction.
@@ -112,19 +128,21 @@ fn main() {
                 format!("{:.1}", cell.us_per_pod),
                 format!("{:.1}", cell.evals_per_pod),
                 format!("{:.1}", cell.probes_per_pod),
+                format!("{:.1}", cell.scores_per_pod),
                 reduction,
                 format!("{:.0}", cell.sim_per_wall),
                 cell.peak_running.to_string(),
             ]);
             eprintln!(
                 "{} nodes {}: {} pods bound, {:.1} µs/pod, {:.1} evals/pod, \
-                 {:.1} probes/pod, {:.0} sim-s/wall-s",
+                 {:.1} probes/pod, {:.1} scores/pod, {:.0} sim-s/wall-s",
                 cell.nodes,
                 cell.mode,
                 cell.bound,
                 cell.us_per_pod,
                 cell.evals_per_pod,
                 cell.probes_per_pod,
+                cell.scores_per_pod,
                 cell.sim_per_wall,
             );
         }
@@ -137,4 +155,11 @@ fn main() {
     if let Err(err) = write_csv(&args.out_dir, "tab8_cluster_scale", &table.to_csv()) {
         eprintln!("could not write CSV: {err}");
     }
+    if mismatches.is_empty() {
+        return std::process::ExitCode::SUCCESS;
+    }
+    for m in &mismatches {
+        eprintln!("FAIL: placement diverged between modes at {m}");
+    }
+    std::process::ExitCode::FAILURE
 }

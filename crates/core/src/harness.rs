@@ -160,8 +160,9 @@ impl ReplicatedOutcome {
     }
 
     /// One-line aggregate of the [`RunOutcome::perf`] blocks: mean
-    /// simulated-seconds-per-wall-second plus the summed engine counters.
-    /// Every experiment binary surfaces this on stderr (via
+    /// simulated-seconds-per-wall-second, the control and scheduler
+    /// shares of the summed run wall time, plus the summed engine
+    /// counters. Every experiment binary surfaces this on stderr (via
     /// [`Harness::run_matrix`]) so a perf regression is visible in any
     /// table or figure run, not only in the dedicated bench.
     #[must_use]
@@ -171,13 +172,25 @@ impl ReplicatedOutcome {
         let events: u64 = self.runs.iter().map(|r| r.perf.events).sum();
         let peak = self.runs.iter().map(|r| r.perf.peak_running_pods).max().unwrap_or(0);
         let fast: u64 = self.runs.iter().map(|r| r.perf.fast_metric_records).sum();
+        let wall_ns: f64 = self.runs.iter().map(|r| r.perf.wall_secs * 1e9).sum();
+        let share = |ns: fn(&RunOutcome) -> u64| {
+            let total: u64 = self.runs.iter().map(ns).sum();
+            if wall_ns > 0.0 {
+                100.0 * total as f64 / wall_ns
+            } else {
+                0.0
+            }
+        };
         format!(
-            "perf[{}/{}]: {:.0} sim-s/wall-s mean over {} run(s); {} ticks, {} events, \
-             peak {} running pods, {} fast-path metric records",
+            "perf[{}/{}]: {:.0} sim-s/wall-s mean over {} run(s); control {:.1}%, \
+             sched {:.1}% of wall; {} ticks, {} events, peak {} running pods, \
+             {} fast-path metric records",
             self.manager(),
             self.scenario(),
             simwall.mean,
             self.runs.len(),
+            share(|r| r.perf.control_wall_ns),
+            share(|r| r.perf.sched_wall_ns),
             ticks,
             events,
             peak,

@@ -3,7 +3,7 @@
 //! statistics every table and figure reports.
 
 use evolve_control::{ArbiterConfig, ClipReason, GrantDecision};
-use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulerFramework};
+use evolve_scheduler::{FeasibilityIndex, RequeueBackoff, SchedulePlan, SchedulerFramework};
 use evolve_sim::{
     ArbitrationCheck, ChaosOracle, ClusterConfig, FaultInjector, FaultKind, FaultPlan, NodeShape,
     OracleReport, Simulation, SimulationConfig,
@@ -475,6 +475,29 @@ pub struct RunPerf {
     /// the indexed run's total feasibility work, comparable against the
     /// naive run's `filter_evals`.
     pub feasibility_probes: u64,
+    /// Scorer-set evaluations across all scheduler cycles (one per node
+    /// scored for one pod). The naive scan pays one per feasible node per
+    /// placement; the indexed path only re-scores nodes whose shadow
+    /// changed since the pod shape's score tree was last queried.
+    pub score_evals: u64,
+}
+
+/// Scheduler work counters summed over a run's cycles.
+#[derive(Debug, Default)]
+struct SchedWork {
+    stale_pod_lookups: u64,
+    filter_evals: u64,
+    feasibility_probes: u64,
+    score_evals: u64,
+}
+
+impl SchedWork {
+    fn add(&mut self, plan: &SchedulePlan) {
+        self.stale_pod_lookups += plan.stale_pod_lookups;
+        self.filter_evals += plan.filter_evals;
+        self.feasibility_probes += plan.index_probes;
+        self.score_evals += plan.score_evals;
+    }
 }
 
 impl RunOutcome {
@@ -629,9 +652,7 @@ impl ExperimentRunner {
         let mut util = UtilizationAccount::new(sim.cluster().total_allocatable());
         let mut preemptions = 0u64;
         let mut bindings = 0u64;
-        let mut stale_pod_lookups = 0u64;
-        let mut filter_evals = 0u64;
-        let mut feasibility_probes = 0u64;
+        let mut work = SchedWork::default();
         // Decision trace: always on, bounded by the ring capacity. The
         // ring only *reads* controller and scheduler state, so capture
         // cannot perturb the simulated trajectory.
@@ -704,9 +725,7 @@ impl ExperimentRunner {
             &mut sim,
             &mut preemptions,
             &mut bindings,
-            &mut stale_pod_lookups,
-            &mut filter_evals,
-            &mut feasibility_probes,
+            &mut work,
             &mut trace,
             oracle.as_ref().map(|_| &mut newly_bound),
         );
@@ -831,9 +850,7 @@ impl ExperimentRunner {
                 &mut sim,
                 &mut preemptions,
                 &mut bindings,
-                &mut stale_pod_lookups,
-                &mut filter_evals,
-                &mut feasibility_probes,
+                &mut work,
                 &mut trace,
                 oracle.as_ref().map(|_| &mut newly_bound),
             );
@@ -1019,8 +1036,9 @@ impl ExperimentRunner {
             fast_metric_records: registry.fast_path_records(),
             control_wall_ns,
             sched_wall_ns,
-            filter_evals,
-            feasibility_probes,
+            filter_evals: work.filter_evals,
+            feasibility_probes: work.feasibility_probes,
+            score_evals: work.score_evals,
         };
 
         // Deterministic JSONL dump (wall-clock excluded): two same-seed
@@ -1053,7 +1071,7 @@ impl ExperimentRunner {
             events: sim.events_processed(),
             controller_restarts,
             desynced_apps: manager.desynced_apps() + desynced_summaries,
-            stale_pod_lookups,
+            stale_pod_lookups: work.stale_pod_lookups,
             thinning_bailouts: sim.thinning_bailouts(),
             clipped_allocations: manager.clipped_allocations(),
             shed_decisions: manager.shed_decisions(),
@@ -1074,17 +1092,13 @@ impl ExperimentRunner {
         sim: &mut Simulation,
         preemptions: &mut u64,
         bindings: &mut u64,
-        stale_pod_lookups: &mut u64,
-        filter_evals: &mut u64,
-        feasibility_probes: &mut u64,
+        work: &mut SchedWork,
         trace: &mut TraceRing,
         mut bound_out: Option<&mut Vec<PodId>>,
     ) {
         let plan =
             scheduler.schedule_cycle_carried(sim.cluster(), backoff, index, sim.now(), trace);
-        *stale_pod_lookups += plan.stale_pod_lookups;
-        *filter_evals += plan.filter_evals;
-        *feasibility_probes += plan.index_probes;
+        work.add(&plan);
         for victim in &plan.preemptions {
             if sim.preempt_pod(*victim).is_ok() {
                 *preemptions += 1;

@@ -2,13 +2,14 @@
 //! tentative bind, and preemption.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use evolve_sim::{ClusterState, Node, Pod, PodKind, PodSpec};
 use evolve_telemetry::trace::{SchedOutcome, SchedTrace, TraceEvent, TraceRing};
 use evolve_types::codec::{Codec, Decoder, Encoder};
 use evolve_types::{JobId, NodeId, PodId, ResourceVec, Result, SimTime};
 
-use crate::index::FeasibilityIndex;
+use crate::index::{FeasibilityIndex, TIE_EPS};
 use crate::plugins::{
     BalancedAllocation, FilterPlugin, LeastAllocated, MostAllocated, NodeFits, NodeView,
     ScorePlugin, SpreadApp,
@@ -36,11 +37,16 @@ pub struct SchedulePlan {
     /// indexed path pays only for non-capacity filters on surviving
     /// candidates, so this is the numerator of the index's win.
     pub filter_evals: u64,
-    /// Feasibility-index tree nodes visited this cycle (zero on the
-    /// naive path). `filter_evals + index_probes` is the indexed cycle's
-    /// total feasibility work, comparable against the naive
-    /// `filter_evals`.
+    /// Feasibility-index tree nodes visited this cycle — preempt-tree
+    /// enumerations and score-tree descents (zero on the naive path).
+    /// `filter_evals + index_probes` is the indexed cycle's total
+    /// feasibility work, comparable against the naive `filter_evals`.
     pub index_probes: u64,
+    /// Scorer-set evaluations this cycle (one per node scored for one
+    /// pod). The naive scan pays one per feasible node per placement;
+    /// the indexed path re-scores only nodes whose state changed since
+    /// the pod shape's score tree was last queried.
+    pub score_evals: u64,
 }
 
 /// Cross-cycle requeue backoff for unschedulable pods.
@@ -131,6 +137,16 @@ pub struct SchedulerFramework {
     /// [`FilterPlugin::prunes_capacity_fit`]). On by default;
     /// [`with_index(false)`](Self::with_index) selects the naive scan.
     use_index: bool,
+    /// Identity of the filter and scorer set, fresh for every framework
+    /// and every plugin added: a carried index drops its memoised score
+    /// trees when a framework with a different profile queries it.
+    profile: u64,
+}
+
+/// A process-unique scorer-profile id (see `SchedulerFramework::profile`).
+fn next_profile() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl std::fmt::Debug for SchedulerFramework {
@@ -173,6 +189,15 @@ impl PlacementProbe {
             ..PlacementProbe::default()
         }
     }
+
+    /// Promotes the contributions in `scratch` to the chosen node's.
+    fn record_choice(&mut self, scorers: &[(Box<dyn ScorePlugin>, f64)], score: f64) {
+        self.chosen_score = Some(score);
+        self.scores.clear();
+        for ((s, _), contribution) in scorers.iter().zip(self.scratch.iter()) {
+            self.scores.push((s.name(), *contribution));
+        }
+    }
 }
 
 /// Per-cycle mutable placement context. The index doubles as the cycle's
@@ -185,9 +210,16 @@ struct Ctx<'a> {
     /// When false, placement scans every node exactly as the historical
     /// implementation did.
     indexed: bool,
-    /// Filter-plugin invocations so far (see
-    /// [`SchedulePlan::filter_evals`]).
+    work: Work,
+}
+
+/// Plugin work done so far in a cycle.
+#[derive(Debug, Default)]
+struct Work {
+    /// Filter-plugin invocations (see [`SchedulePlan::filter_evals`]).
     filter_evals: u64,
+    /// Scorer-set evaluations (see [`SchedulePlan::score_evals`]).
+    score_evals: u64,
 }
 
 impl SchedulerFramework {
@@ -201,6 +233,7 @@ impl SchedulerFramework {
             name,
             break_gang_rollback: std::env::var_os("EVOLVE_CHAOS_GANG_NO_ROLLBACK").is_some(),
             use_index: true,
+            profile: next_profile(),
         }
     }
 
@@ -235,6 +268,7 @@ impl SchedulerFramework {
     #[must_use]
     pub fn with_filter<F: FilterPlugin + 'static>(mut self, filter: F) -> Self {
         self.filters.push(Box::new(filter));
+        self.profile = next_profile();
         self
     }
 
@@ -247,6 +281,7 @@ impl SchedulerFramework {
     pub fn with_scorer<S: ScorePlugin + 'static>(mut self, scorer: S, weight: f64) -> Self {
         assert!(weight > 0.0, "scorer weight must be positive");
         self.scorers.push((Box::new(scorer), weight));
+        self.profile = next_profile();
         self
     }
 
@@ -349,7 +384,7 @@ impl SchedulerFramework {
         index.sync(cluster);
         let indexed =
             self.use_index && self.filters.first().is_some_and(|f| f.prunes_capacity_fit());
-        let mut ctx = Ctx { index, indexed, filter_evals: 0 };
+        let mut ctx = Ctx { index, indexed, work: Work::default() };
         // Victims already claimed this cycle: their capacity is freed in
         // the shadow exactly once and they may not be chosen again.
         let mut claimed: HashSet<PodId> = HashSet::new();
@@ -389,6 +424,9 @@ impl SchedulerFramework {
         units.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
 
         let cycle = backoff.cycle;
+        // A ring that retains nothing needs no placement probes: the
+        // events pushed into it are only counted as dropped.
+        let probing = trace.as_ref().is_some_and(|(_, ring)| ring.capacity() > 0);
         // Emits one SchedTrace for a resolved pod, when tracing is on.
         // A plain fn (not a closure) so the borrow of `trace` stays local.
         #[allow(clippy::too_many_arguments)]
@@ -439,7 +477,7 @@ impl SchedulerFramework {
                         );
                         continue;
                     }
-                    let mut probe = trace.is_some().then(|| PlacementProbe::new(&self.filters));
+                    let mut probe = probing.then(|| PlacementProbe::new(&self.filters));
                     if let Some(node) = self.place_one(cluster, &mut ctx, &pod.spec, probe.as_mut())
                     {
                         plan.bindings.push((pod.id, node));
@@ -601,7 +639,8 @@ impl SchedulerFramework {
             }
         }
         plan.stale_pod_lookups = ctx.index.stale_lookups();
-        plan.filter_evals = ctx.filter_evals;
+        plan.filter_evals = ctx.work.filter_evals;
+        plan.score_evals = ctx.work.score_evals;
         plan.index_probes = ctx.index.probes();
         plan
     }
@@ -700,27 +739,27 @@ impl SchedulerFramework {
     /// chosen node's per-plugin scores, the feasible-node count and the
     /// per-filter rejection counts are captured for the decision trace.
     ///
-    /// In indexed mode the candidate set comes from the feasibility
-    /// index; under `debug_assertions` the naive full scan runs alongside
-    /// and the choices are asserted identical before committing.
+    /// In indexed mode the choice comes from the feasibility index's
+    /// memoised score tree; under `debug_assertions` the naive full scan
+    /// runs alongside and the choices are asserted identical before
+    /// committing.
     fn place_one(
         &self,
         cluster: &ClusterState,
         ctx: &mut Ctx<'_>,
         spec: &PodSpec,
-        mut probe: Option<&mut PlacementProbe>,
+        probe: Option<&mut PlacementProbe>,
     ) -> Option<NodeId> {
         let choice = if ctx.indexed {
-            let choice = self.choose_indexed(cluster, ctx, spec, probe.as_deref_mut());
+            let choice = self.choose_indexed(cluster, ctx, spec, probe);
             #[cfg(debug_assertions)]
             {
-                let mut evals = 0u64;
-                let naive = self.choose_naive(cluster, ctx.index, spec, &mut evals, None);
+                let naive = self.choose_naive(cluster, ctx.index, spec, &mut Work::default(), None);
                 debug_assert_eq!(choice, naive, "indexed placement diverged from the naive scan");
             }
             choice
         } else {
-            self.choose_naive(cluster, ctx.index, spec, &mut ctx.filter_evals, probe)
+            self.choose_naive(cluster, ctx.index, spec, &mut ctx.work, probe)
         };
         let (_, idx) = choice?;
         ctx.index.place(idx, spec);
@@ -728,14 +767,17 @@ impl SchedulerFramework {
     }
 
     /// The historical full scan: every node flows through the filters in
-    /// order (first failure short-circuits), survivors are scored. Kept
-    /// as the equivalence baseline for the indexed path.
+    /// order (first failure short-circuits), survivors are scored, and a
+    /// node replaces the incumbent only when it scores above
+    /// `best + TIE_EPS` (the lowest index wins near-ties). The reference
+    /// the indexed path reproduces; `work` counts filter and scorer-set
+    /// evaluations.
     fn choose_naive(
         &self,
         cluster: &ClusterState,
         index: &FeasibilityIndex,
         spec: &PodSpec,
-        filter_evals: &mut u64,
+        work: &mut Work,
         mut probe: Option<&mut PlacementProbe>,
     ) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
@@ -748,8 +790,8 @@ impl SchedulerFramework {
             // First failing filter takes the rejection.
             let mut pass = true;
             for (fi, f) in self.filters.iter().enumerate() {
-                *filter_evals += 1;
-                if !f.feasible(spec, &view) {
+                work.filter_evals += 1;
+                if !f.feasible(&spec.request, &view) {
                     if let Some(p) = probe.as_deref_mut() {
                         p.filtered[fi].1 += 1;
                     }
@@ -760,92 +802,103 @@ impl SchedulerFramework {
             if !pass {
                 continue;
             }
-            self.score_node(spec, &view, i, &mut best, probe.as_deref_mut());
+            work.score_evals += 1;
+            let scratch = probe.as_deref_mut().map(|p| {
+                p.feasible += 1;
+                p.scratch.clear();
+                &mut p.scratch
+            });
+            let score = self.combined_score(&spec.request, &view, scratch);
+            if best.is_none_or(|(b, _)| score > b + TIE_EPS) {
+                best = Some((score, i));
+                if let Some(p) = probe.as_deref_mut() {
+                    p.record_choice(&self.scorers, score);
+                }
+            }
         }
         best
     }
 
-    /// The indexed path: the fit tree enumerates exactly the nodes the
-    /// leading capacity filter would accept (in ascending order, so the
-    /// lowest-index tie-break is preserved); only the remaining filters
-    /// and the scorers run on them.
+    /// The indexed path: the index answers from the score tree memoised
+    /// for the pod's `(request, app)` shape, re-scoring only nodes whose
+    /// shadow changed since that tree's last query. The leading filter is
+    /// the index's own capacity fit; the others run inside the leaf
+    /// function. With a probe attached, the winner is scored once more
+    /// for its per-plugin contributions and the rejection counts are read
+    /// off the tree.
     fn choose_indexed(
         &self,
         cluster: &ClusterState,
         ctx: &mut Ctx<'_>,
         spec: &PodSpec,
-        mut probe: Option<&mut PlacementProbe>,
+        probe: Option<&mut PlacementProbe>,
     ) -> Option<(f64, usize)> {
-        ctx.index.enumerate_fit(&spec.request);
-        if let Some(p) = probe.as_deref_mut() {
-            // Every pruned node fails the leading capacity filter —
-            // identical attribution to the naive first-fail scan.
-            p.filtered[0].1 += (cluster.nodes().len() - ctx.index.candidates().len()) as u32;
-        }
-        let mut best: Option<(f64, usize)> = None;
-        for k in 0..ctx.index.candidates().len() {
-            let i = ctx.index.candidates()[k];
-            let view = NodeView {
-                node: &cluster.nodes()[i],
-                free: ctx.index.free(i),
-                app_pods: ctx.index.app_count(i, spec.kind.app().raw()),
-            };
-            let mut pass = true;
-            for (fi, f) in self.filters.iter().enumerate().skip(1) {
-                ctx.filter_evals += 1;
-                if !f.feasible(spec, &view) {
-                    if let Some(p) = probe.as_deref_mut() {
-                        p.filtered[fi].1 += 1;
+        let request = &spec.request;
+        let app = spec.kind.app().raw();
+        let nodes = cluster.nodes();
+        let Ctx { index, work, .. } = ctx;
+        let query = index.best_scored(
+            self.profile,
+            request,
+            app,
+            self.filters.len(),
+            |i, free, app_pods| {
+                let view = NodeView { node: &nodes[i], free, app_pods };
+                for (fi, f) in self.filters.iter().enumerate().skip(1) {
+                    work.filter_evals += 1;
+                    if !f.feasible(request, &view) {
+                        return Err(fi);
                     }
-                    pass = false;
-                    break;
                 }
+                work.score_evals += 1;
+                Ok(self.combined_score(request, &view, None))
+            },
+        );
+        if let Some(p) = probe {
+            p.feasible = query.feasible;
+            for (slot, rejected) in p.filtered.iter_mut().zip(index.last_rejections()) {
+                slot.1 += rejected;
             }
-            if !pass {
-                continue;
+            if let Some((score, i)) = query.best {
+                let view = NodeView {
+                    node: &nodes[i],
+                    free: index.free(i),
+                    app_pods: index.app_count(i, app),
+                };
+                p.scratch.clear();
+                work.score_evals += 1;
+                let rescored = self.combined_score(request, &view, Some(&mut p.scratch));
+                debug_assert_eq!(rescored.to_bits(), score.to_bits(), "memoised score is stale");
+                p.record_choice(&self.scorers, score);
             }
-            self.score_node(spec, &view, i, &mut best, probe.as_deref_mut());
         }
-        best
+        query.best
     }
 
-    /// Scores one feasible node and folds it into the running best.
-    /// Shared by both paths so the float-operation sequence — and thus
-    /// the deterministic tie-break — is identical.
-    fn score_node(
+    /// The weighted mean of the scorers for one node. Every path computes
+    /// scores here, so the float-operation sequence — and thus the
+    /// deterministic tie-break — is identical; `contributions` receives
+    /// each plugin's weighted term.
+    fn combined_score(
         &self,
-        spec: &PodSpec,
+        request: &ResourceVec,
         view: &NodeView<'_>,
-        i: usize,
-        best: &mut Option<(f64, usize)>,
-        mut probe: Option<&mut PlacementProbe>,
-    ) {
-        if let Some(p) = probe.as_deref_mut() {
-            p.feasible += 1;
-            p.scratch.clear();
-        }
+        mut contributions: Option<&mut Vec<f64>>,
+    ) -> f64 {
         let mut score = 0.0;
         let mut weight = 0.0;
         for (s, w) in &self.scorers {
-            let contribution = s.score(spec, view) * w;
+            let contribution = s.score(request, view) * w;
             score += contribution;
             weight += w;
-            if let Some(p) = probe.as_deref_mut() {
-                p.scratch.push(contribution);
+            if let Some(out) = contributions.as_deref_mut() {
+                out.push(contribution);
             }
         }
-        let score = if weight > 0.0 { score / weight } else { 0.0 };
-        // Deterministic tie-break on the lowest node index.
-        if best.is_none_or(|(b, _)| score > b + 1e-12) {
-            *best = Some((score, i));
-            if let Some(p) = probe {
-                let PlacementProbe { chosen_score, scores, scratch, .. } = p;
-                *chosen_score = Some(score);
-                scores.clear();
-                for ((s, _), contribution) in self.scorers.iter().zip(scratch.iter()) {
-                    scores.push((s.name(), *contribution));
-                }
-            }
+        if weight > 0.0 {
+            score / weight
+        } else {
+            0.0
         }
     }
 

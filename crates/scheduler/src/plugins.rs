@@ -1,10 +1,16 @@
 //! Filter and score plugins.
 //!
-//! Plugins see a [`NodeView`]: the node plus *shadow* state reflecting the
-//! decisions already taken in the current scheduling cycle. Scores are
-//! normalized to `[0, 1]`; the framework combines them by weight.
+//! Plugins see the pod's resource request and a [`NodeView`]: the node
+//! plus *shadow* state reflecting the decisions already taken in the
+//! current scheduling cycle. Scores are normalized to `[0, 1]`; the
+//! framework combines them by weight.
+//!
+//! Plugins see nothing of the pod but its request (and, through
+//! [`NodeView::app_pods`], its application). That narrow input is what
+//! lets the feasibility index memoise one score per node for every pod
+//! of the same `(request, app)` shape.
 
-use evolve_sim::{Node, PodSpec};
+use evolve_sim::Node;
 use evolve_types::{Resource, ResourceVec};
 
 /// A node as seen mid-cycle: real state plus shadow adjustments.
@@ -32,13 +38,13 @@ impl NodeView<'_> {
 pub trait FilterPlugin: Send + Sync {
     /// Plugin name for diagnostics.
     fn name(&self) -> &'static str;
-    /// `true` when the node can host the pod.
-    fn feasible(&self, pod: &PodSpec, view: &NodeView<'_>) -> bool;
+    /// `true` when the node can host a pod requesting `request`.
+    fn feasible(&self, request: &ResourceVec, view: &NodeView<'_>) -> bool;
     /// `true` when this filter is *exactly* "the node is ready and the
     /// request fits within shadow free capacity" — the predicate the
-    /// feasibility index's fit tree answers. The framework only routes a
-    /// cycle through the index when its leading filter certifies this;
-    /// any other filter must keep the default `false`.
+    /// feasibility index's score trees evaluate themselves. The framework
+    /// only routes a cycle through the index when its leading filter
+    /// certifies this; any other filter must keep the default `false`.
     fn prunes_capacity_fit(&self) -> bool {
         false
     }
@@ -48,8 +54,8 @@ pub trait FilterPlugin: Send + Sync {
 pub trait ScorePlugin: Send + Sync {
     /// Plugin name for diagnostics.
     fn name(&self) -> &'static str;
-    /// Scores the node for the pod.
-    fn score(&self, pod: &PodSpec, view: &NodeView<'_>) -> f64;
+    /// Scores the node for a pod requesting `request`.
+    fn score(&self, request: &ResourceVec, view: &NodeView<'_>) -> f64;
 }
 
 /// Filter: node is ready and has room for the pod's request
@@ -61,8 +67,8 @@ impl FilterPlugin for NodeFits {
     fn name(&self) -> &'static str {
         "node-fits"
     }
-    fn feasible(&self, pod: &PodSpec, view: &NodeView<'_>) -> bool {
-        view.node.is_ready() && pod.request.fits_within(&view.free)
+    fn feasible(&self, request: &ResourceVec, view: &NodeView<'_>) -> bool {
+        view.node.is_ready() && request.fits_within(&view.free)
     }
     fn prunes_capacity_fit(&self) -> bool {
         true
@@ -78,8 +84,8 @@ impl ScorePlugin for LeastAllocated {
     fn name(&self) -> &'static str {
         "least-allocated"
     }
-    fn score(&self, pod: &PodSpec, view: &NodeView<'_>) -> f64 {
-        let share = view.allocated_share_with(&pod.request);
+    fn score(&self, request: &ResourceVec, view: &NodeView<'_>) -> f64 {
+        let share = view.allocated_share_with(request);
         let mean = Resource::ALL.iter().map(|r| share[*r].clamp(0.0, 1.0)).sum::<f64>() / 4.0;
         1.0 - mean
     }
@@ -94,8 +100,8 @@ impl ScorePlugin for MostAllocated {
     fn name(&self) -> &'static str {
         "most-allocated"
     }
-    fn score(&self, pod: &PodSpec, view: &NodeView<'_>) -> f64 {
-        let share = view.allocated_share_with(&pod.request);
+    fn score(&self, request: &ResourceVec, view: &NodeView<'_>) -> f64 {
+        let share = view.allocated_share_with(request);
         Resource::ALL.iter().map(|r| share[*r].clamp(0.0, 1.0)).sum::<f64>() / 4.0
     }
 }
@@ -110,9 +116,9 @@ impl ScorePlugin for BalancedAllocation {
     fn name(&self) -> &'static str {
         "balanced-allocation"
     }
-    fn score(&self, pod: &PodSpec, view: &NodeView<'_>) -> f64 {
-        let share = view.allocated_share_with(&pod.request);
-        let shares: Vec<f64> = Resource::ALL.iter().map(|r| share[*r].clamp(0.0, 1.0)).collect();
+    fn score(&self, request: &ResourceVec, view: &NodeView<'_>) -> f64 {
+        let share = view.allocated_share_with(request);
+        let shares: [f64; 4] = Resource::ALL.map(|r| share[r].clamp(0.0, 1.0));
         let mean = shares.iter().sum::<f64>() / shares.len() as f64;
         let var = shares.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / shares.len() as f64;
         // Std-dev of shares is at most 0.5 in [0,1]; normalize.
@@ -130,7 +136,7 @@ impl ScorePlugin for SpreadApp {
     fn name(&self) -> &'static str {
         "spread-app"
     }
-    fn score(&self, _pod: &PodSpec, view: &NodeView<'_>) -> f64 {
+    fn score(&self, _request: &ResourceVec, view: &NodeView<'_>) -> f64 {
         1.0 / (1.0 + view.app_pods as f64)
     }
 }
@@ -138,15 +144,14 @@ impl ScorePlugin for SpreadApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evolve_sim::PodKind;
-    use evolve_types::{AppId, NodeId};
+    use evolve_types::NodeId;
 
     fn node(capacity: f64) -> Node {
         Node::new(NodeId::new(0), ResourceVec::splat(capacity))
     }
 
-    fn pod(request: f64) -> PodSpec {
-        PodSpec::new(PodKind::ServiceReplica { app: AppId::new(0) }, ResourceVec::splat(request), 0)
+    fn pod(request: f64) -> ResourceVec {
+        ResourceVec::splat(request)
     }
 
     fn view(node: &Node, free: f64, app_pods: usize) -> NodeView<'_> {
@@ -199,6 +204,25 @@ mod tests {
             NodeView { node: &n, free: ResourceVec::new(10.0, 950.0, 950.0, 950.0), app_pods: 0 };
         let skewed = BalancedAllocation.score(&p, &skew_view);
         assert!(balanced > skewed, "balanced {balanced} skewed {skewed}");
+    }
+
+    #[test]
+    fn balanced_allocation_is_bit_identical_to_the_vec_form() {
+        let n = node(1000.0);
+        for (free, request) in [
+            (ResourceVec::new(10.0, 950.0, 333.3, 0.0), ResourceVec::new(1.0, 7.5, 0.1, 0.0)),
+            (ResourceVec::new(400.0, 123.4, 950.0, 17.0), ResourceVec::new(3.3, 1.0, 9.9, 0.7)),
+            (ResourceVec::splat(950.0), ResourceVec::splat(2000.0)),
+        ] {
+            let v = NodeView { node: &n, free, app_pods: 0 };
+            let share = v.allocated_share_with(&request);
+            let shares: Vec<f64> =
+                Resource::ALL.iter().map(|r| share[*r].clamp(0.0, 1.0)).collect();
+            let mean = shares.iter().sum::<f64>() / shares.len() as f64;
+            let var = shares.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / shares.len() as f64;
+            let reference = 1.0 - (var.sqrt() * 2.0).min(1.0);
+            assert_eq!(BalancedAllocation.score(&request, &v).to_bits(), reference.to_bits());
+        }
     }
 
     #[test]

@@ -186,12 +186,19 @@ proptest! {
 
     /// Carrying one index across cycles (version-diff sync instead of a
     /// rebuild) must stay plan-identical to a naive scan from scratch,
-    /// even as bindings, terminations and readiness flips accumulate.
+    /// even as bindings, terminations, in-place resizes, readiness flips
+    /// and an explicit invalidation accumulate. Besides random pods, each
+    /// wave interleaves pods of two apps and two request sizes, so the
+    /// memoised score trees are queried again and replay their change
+    /// logs; up to 40 nodes make those trees more than three levels deep.
     #[test]
     fn carried_index_matches_naive_across_cycles(
         waves in prop::collection::vec(arb_pods(), 1..4),
+        shaped in prop::collection::vec(((0u32..2), any::<bool>()), 0..30),
+        resizes in prop::collection::vec(((0usize..64), (0.25..3.0f64)), 0..6),
+        invalidate_at in 0usize..4,
         flip in any::<bool>(),
-        nodes in 2usize..6,
+        nodes in 2usize..41,
     ) {
         let mut cluster =
             ClusterState::new(&ClusterConfig::uniform(nodes, NodeShape::default()));
@@ -200,20 +207,39 @@ proptest! {
         let mut index = FeasibilityIndex::new();
         let mut backoff = RequeueBackoff::new();
         let mut trace = TraceRing::new(0);
+        let mut bound: Vec<PodId> = Vec::new();
         for (cycle, wave) in waves.iter().enumerate() {
-            for (i, (app, cpu, priority, _)) in wave.iter().enumerate() {
+            let shaped_pods = shaped.iter().map(|&(app, big)| {
+                let cpu = if big { 2_500.0 } else { 700.0 };
+                (app + 20, cpu, 40, false)
+            });
+            for (i, (app, cpu, priority, _)) in wave.iter().copied().chain(shaped_pods).enumerate() {
                 cluster.create_pod(
                     PodSpec::new(
-                        PodKind::ServiceReplica { app: AppId::new(*app) },
-                        ResourceVec::new(*cpu, cpu * 2.0, cpu / 100.0, cpu / 50.0),
-                        *priority,
+                        PodKind::ServiceReplica { app: AppId::new(app) },
+                        ResourceVec::new(cpu, cpu * 2.0, cpu / 100.0, cpu / 50.0),
+                        priority,
                     ),
                     SimTime::from_micros((cycle * 1_000 + i) as u64),
                 );
             }
+            // In-place resizes of bound pods move free capacity on their
+            // nodes between cycles; a refused resize changes nothing.
+            for &(k, factor) in &resizes {
+                if let Some(&pod) = bound.get(k % bound.len().max(1)) {
+                    if let Ok(p) = cluster.pod(pod) {
+                        if p.phase.holds_resources() {
+                            let _ = cluster.resize_pod(pod, p.spec.request * factor);
+                        }
+                    }
+                }
+            }
             if flip && cycle == 1 {
                 let id = cluster.nodes()[nodes - 1].id();
                 cluster.set_node_ready(id, false).expect("flips");
+            }
+            if cycle == invalidate_at {
+                index.invalidate();
             }
             let at = SimTime::from_micros(cycle as u64);
             let carried =
@@ -231,6 +257,7 @@ proptest! {
             }
             for (pod, node) in &carried.bindings {
                 cluster.bind_pod(*pod, *node).expect("carried plan binding must be valid");
+                bound.push(*pod);
             }
             for pod in &carried.unschedulable {
                 cluster.terminate_pod(*pod, PodPhase::Failed("unplaced".into())).expect("terminates");

@@ -58,6 +58,15 @@ pub struct ClusterState {
     running_count: u32,
     /// Pods currently `Pending` or `Starting`.
     waiting_count: u32,
+    /// `(created, id)` of every `Pending` pod, strictly ascending, so the
+    /// scheduler's queue scan does not walk the (append-only) pod table.
+    /// A pod leaving `Pending` leaves a stale entry behind (skipped on
+    /// read, dropped in bulk once stale entries outnumber live ones).
+    /// Creation and requeue times follow the simulation clock, so new
+    /// entries are almost always appended.
+    pending: Vec<(SimTime, PodId)>,
+    /// Stale entries in `pending`.
+    pending_stale: usize,
     /// Monotone mutation counter, bumped whenever any node's scheduling-
     /// relevant state (allocation, bound set, readiness) changes. The
     /// scheduler's feasibility index diffs against this instead of
@@ -88,6 +97,8 @@ impl ClusterState {
             next_pod: 0,
             running_count: 0,
             waiting_count: 0,
+            pending: Vec::new(),
+            pending_stale: 0,
             version: 0,
             bound_by_priority: BTreeMap::new(),
         }
@@ -173,11 +184,33 @@ impl ClusterState {
         self.pods.values()
     }
 
-    /// Pods awaiting a scheduling decision, in creation order.
+    /// Pods awaiting a scheduling decision, in `(created, id)` order.
     pub fn pending_pods(&self) -> impl Iterator<Item = &Pod> {
-        let mut pending: Vec<&Pod> = self.pods.values().filter(|p| p.is_pending()).collect();
-        pending.sort_by_key(|p| (p.created, p.id));
-        pending.into_iter()
+        self.pending.iter().filter_map(|&key| live_pending(&self.pods, key))
+    }
+
+    /// Queues the entry of a pod that just entered `Pending`.
+    fn enqueue_pending(&mut self, key: (SimTime, PodId)) {
+        if self.pending.last().is_none_or(|last| *last < key) {
+            self.pending.push(key);
+            return;
+        }
+        match self.pending.binary_search(&key) {
+            // The pod's own stale entry from an earlier stay: live again.
+            Ok(_) => self.pending_stale -= 1,
+            Err(at) => self.pending.insert(at, key),
+        }
+    }
+
+    /// Accounts one entry gone stale (its pod already left `Pending` or
+    /// changed creation time); compacts once stale entries dominate.
+    fn stale_pending(&mut self) {
+        self.pending_stale += 1;
+        if self.pending_stale > 64 && 2 * self.pending_stale > self.pending.len() {
+            let pods = &self.pods;
+            self.pending.retain(|&key| live_pending(pods, key).is_some());
+            self.pending_stale = 0;
+        }
     }
 
     /// Creates a pod in `Pending` phase and returns its id.
@@ -185,6 +218,7 @@ impl ClusterState {
         let id = PodId::new(self.next_pod);
         self.next_pod += 1;
         self.pods.insert(id, Pod::new(id, spec, now));
+        self.enqueue_pending((now, id));
         self.waiting_count += 1;
         id
     }
@@ -215,6 +249,7 @@ impl ClusterState {
         pod.node = Some(node_id);
         pod.phase = PodPhase::Starting;
         let priority = pod.spec.priority;
+        self.stale_pending();
         self.bump_node(node_id.as_usize());
         self.census_bind(priority);
         Ok(())
@@ -255,11 +290,15 @@ impl ClusterState {
                 released = Some((node_id.as_usize(), pod.spec.priority));
             }
         }
+        let was_pending = pod.is_pending();
         match pod.phase {
             PodPhase::Running => self.running_count -= 1,
             _ => self.waiting_count -= 1,
         }
         pod.phase = phase;
+        if was_pending {
+            self.stale_pending();
+        }
         if let Some((node, priority)) = released {
             self.bump_node(node);
             self.census_unbind(priority);
@@ -282,10 +321,18 @@ impl ClusterState {
         if pod.phase.is_terminal() {
             self.waiting_count += 1;
         }
+        let requeued = !pod.is_pending() || pod.created != now;
+        let was_pending = pod.is_pending();
         pod.phase = PodPhase::Pending;
         pod.node = None;
         pod.started = None;
         pod.created = now;
+        if requeued {
+            self.enqueue_pending((now, pod_id));
+        }
+        if was_pending && requeued {
+            self.stale_pending();
+        }
         Ok(())
     }
 
@@ -382,6 +429,7 @@ impl ClusterState {
             if released.is_some() {
                 self.nodes[node_id.as_usize()].unbind(*pod_id, pod.spec.request);
             }
+            // Bound pods only: none of them is `Pending`.
             match pod.phase {
                 PodPhase::Running => self.running_count -= 1,
                 PodPhase::Pending | PodPhase::Starting => self.waiting_count -= 1,
@@ -430,7 +478,9 @@ impl ClusterState {
         let mut running = 0u32;
         let mut waiting = 0u32;
         let mut by_priority: BTreeMap<i32, u32> = BTreeMap::new();
+        let mut pending = 0usize;
         for pod in self.pods.values() {
+            pending += usize::from(pod.is_pending());
             match pod.phase {
                 PodPhase::Running => running += 1,
                 PodPhase::Pending | PodPhase::Starting => waiting += 1,
@@ -444,6 +494,21 @@ impl ClusterState {
             out.push(format!(
                 "maintained phase counts diverged from pod table: ({running}, {waiting}) vs ({}, {})",
                 self.running_count, self.waiting_count
+            ));
+        }
+        // Entries are strictly ascending, so a pod has at most one live
+        // entry (the one matching its creation time): equal counts mean
+        // the live entries are exactly the pending pods.
+        let live = self.pending.iter().filter(|&&k| live_pending(&self.pods, k).is_some()).count();
+        if live != pending
+            || self.pending.len() - live != self.pending_stale
+            || self.pending.windows(2).any(|w| w[0] >= w[1])
+        {
+            out.push(format!(
+                "maintained pending queue diverged from pod table: {live} live + {} stale \
+                 entries ({} counted stale) vs {pending} pending pods",
+                self.pending.len() - live,
+                self.pending_stale,
             ));
         }
         if by_priority != self.bound_by_priority {
@@ -475,6 +540,11 @@ impl ClusterState {
         }
         out
     }
+}
+
+/// The pod of a pending-queue entry, unless the entry is stale.
+fn live_pending(pods: &BTreeMap<PodId, Pod>, (created, id): (SimTime, PodId)) -> Option<&Pod> {
+    pods.get(&id).filter(|p| p.is_pending() && p.created == created)
 }
 
 #[cfg(test)]
@@ -588,6 +658,38 @@ mod tests {
         let b = c.create_pod(spec(1.0), SimTime::from_secs(1));
         let order: Vec<PodId> = c.pending_pods().map(|p| p.id).collect();
         assert_eq!(order, vec![b, a]);
+    }
+
+    #[test]
+    fn pending_set_follows_phase_changes() {
+        let mut c = cluster();
+        let a = c.create_pod(spec(1.0), SimTime::from_secs(1));
+        let b = c.create_pod(spec(1.0), SimTime::from_secs(2));
+        let d = c.create_pod(spec(1.0), SimTime::from_secs(3));
+        c.bind_pod(a, NodeId::new(0)).unwrap();
+        c.terminate_pod(b, PodPhase::Failed("gone".into())).unwrap();
+        let order: Vec<PodId> = c.pending_pods().map(|p| p.id).collect();
+        assert_eq!(order, vec![d]);
+        // A requeue re-enters the queue at its new creation time.
+        c.terminate_pod(a, PodPhase::Failed("preempted".into())).unwrap();
+        c.requeue_pod(a, SimTime::from_secs(4)).unwrap();
+        c.requeue_pod(b, SimTime::from_secs(0)).unwrap();
+        // Back at its old creation time: the stale entry is live again.
+        let e = c.create_pod(spec(1.0), SimTime::from_secs(5));
+        c.terminate_pod(e, PodPhase::Failed("gone".into())).unwrap();
+        c.requeue_pod(e, SimTime::from_secs(5)).unwrap();
+        let order: Vec<PodId> = c.pending_pods().map(|p| p.id).collect();
+        assert_eq!(order, vec![b, d, a, e]);
+        c.check_invariants();
+        // Once stale entries outnumber live ones they are dropped in bulk.
+        let batch: Vec<PodId> =
+            (0..200).map(|k| c.create_pod(spec(1.0), SimTime::from_secs(10 + k))).collect();
+        for id in &batch[..150] {
+            c.terminate_pod(*id, PodPhase::Failed("gone".into())).unwrap();
+        }
+        assert!(c.pending.len() < 150, "{} entries kept", c.pending.len());
+        assert_eq!(c.pending_pods().count(), 4 + 50);
+        c.check_invariants();
     }
 
     #[test]
